@@ -110,6 +110,9 @@ type Report struct {
 	// energy+SAW encode — the stored-kernel fast-scan acceptance metric
 	// (required >= 2.5x by the line-batched pipeline PR).
 	SpeedupVCCStoredSLCEnergySAW float64 `json:"speedup_vcc_stored_slc_energy_saw,omitempty"`
+	// SpeedupVCCStoredMLCFlips is ref/fast on the stored-ROM full-word
+	// MLC flips encode: the engine's default codec and objective.
+	SpeedupVCCStoredMLCFlips float64 `json:"speedup_vcc_stored_mlc_flips,omitempty"`
 	// SpeedupDecodeStored is ref/fast on the stored-codec line decode
 	// (DecodeWords vs a per-word Decode loop over the same 8-word lines).
 	SpeedupDecodeStored float64 `json:"speedup_decode_stored,omitempty"`
@@ -142,6 +145,7 @@ type historyEntry struct {
 	Results                      []Result                      `json:"results"`
 	SpeedupVCCMLCEnergySAW       float64                       `json:"speedup_vcc_mlc_energy_saw,omitempty"`
 	SpeedupVCCStoredSLCEnergySAW float64                       `json:"speedup_vcc_stored_slc_energy_saw,omitempty"`
+	SpeedupVCCStoredMLCFlips     float64                       `json:"speedup_vcc_stored_mlc_flips,omitempty"`
 	SpeedupDecodeStored          float64                       `json:"speedup_decode_stored,omitempty"`
 	EngineWriteNsPerLine         float64                       `json:"engine_write_ns_per_line,omitempty"`
 	Campaigns                    map[string]map[string]float64 `json:"campaigns,omitempty"`
@@ -466,6 +470,10 @@ func benches() []bench {
 			encodeBench(coset.NewVCCStored(64, 16, 256, 1), 64, false, true, false, objES)},
 		{"encode/vcc_stored256/slc/energy_saw/ref", 0,
 			encodeBench(coset.NewVCCStored(64, 16, 256, 1), 64, false, true, true, objES)},
+		{"encode/vcc_stored256/mlc/flips/fast", 0,
+			encodeBench(coset.NewVCCStored(64, 16, 256, 1), 64, false, false, false, coset.ObjFlips)},
+		{"encode/vcc_stored256/mlc/flips/ref", 0,
+			encodeBench(coset.NewVCCStored(64, 16, 256, 1), 64, false, false, true, coset.ObjFlips)},
 		{"encode/fnw16/mlc/energy_saw/fast", 0,
 			encodeBench(coset.NewFNW(64, 16), 64, false, false, false, objES)},
 		{"encode/fnw16/mlc/energy_saw/ref", 0,
@@ -1016,6 +1024,10 @@ func main() {
 		rep.SpeedupVCCStoredSLCEnergySAW = s
 		fmt.Printf("%-48s %12.2fx\n", "speedup: vcc stored slc energy+saw (ref/fast)", s)
 	}
+	if s := speedupOf("encode/vcc_stored256/mlc/flips"); s > 0 {
+		rep.SpeedupVCCStoredMLCFlips = s
+		fmt.Printf("%-48s %12.2fx\n", "speedup: vcc stored mlc flips (ref/fast)", s)
+	}
 	if s := speedupOf("decode/vcc_stored256/line"); s > 0 {
 		rep.SpeedupDecodeStored = s
 		fmt.Printf("%-48s %12.2fx\n", "speedup: stored line decode (ref/fast)", s)
@@ -1083,6 +1095,7 @@ func main() {
 			Results:                      rep.Results,
 			SpeedupVCCMLCEnergySAW:       rep.SpeedupVCCMLCEnergySAW,
 			SpeedupVCCStoredSLCEnergySAW: rep.SpeedupVCCStoredSLCEnergySAW,
+			SpeedupVCCStoredMLCFlips:     rep.SpeedupVCCStoredMLCFlips,
 			SpeedupDecodeStored:          rep.SpeedupDecodeStored,
 			EngineWriteNsPerLine:         rep.EngineWriteNsPerLine,
 			Campaigns:                    rep.Campaigns,

@@ -270,7 +270,7 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	if sc.obj == ObjEnergySAW {
 		minPrices = nibTableMinPricesEnergySAW
 	}
-	sc.wantTab = sc.obj != ObjOnes && !sc.DisableTables &&
+	sc.wantTab = sc.obj != ObjOnes && sc.obj != ObjFlips && !sc.DisableTables &&
 		(sc.ForceTables || pricesPerPartition >= minPrices*sc.groups)
 	sc.lineKey = bindKey{c.N, m, ev.Obj, c.Mode, c.MLCPlane, c.Energy,
 		sc.ForceTables, sc.DisableTables, pricesPerPartition}
@@ -527,8 +527,6 @@ func (sc *SlicedCtx) pairFromCounts(acc uint32) Pair {
 	hi := int(acc & 0xFF)
 	lo := int(acc >> 8 & 0xFF)
 	switch sc.obj {
-	case ObjFlips:
-		return Pair{float64(hi + lo), 0}
 	case ObjEnergySAW:
 		return Pair{float64(hi)*sc.cHi + float64(lo)*sc.cLo, float64(acc >> 16)}
 	case ObjSAWEnergy:
@@ -537,9 +535,6 @@ func (sc *SlicedCtx) pairFromCounts(acc uint32) Pair {
 		panic("coset: unknown objective")
 	}
 }
-
-// Partitions returns the partition count of the bound context.
-func (sc *SlicedCtx) Partitions() int { return sc.p }
 
 // AuxBit prices writing auxiliary bit bitIdx with value val — the
 // table-lookup equivalent of Evaluator.AuxBit on the bound context.
@@ -614,26 +609,6 @@ func (sc *SlicedCtx) partCostDirect(j int, v uint64) Pair {
 	}
 }
 
-// sliceFlips counts partition j's flips for the unshifted m-bit value v
-// as a raw integer: the count partCostDirect wraps in a float Pair,
-// exposed undecorated for the integer flips specialization. It equals
-// Evaluator.Part(v<<(j*m), j, m).Primary exactly (the float is the
-// int's exact image).
-func (sc *SlicedCtx) sliceFlips(j int, v uint64) int {
-	var desired uint64
-	if sc.mlcPlane {
-		desired = sc.leftSpread[j] | bitutil.SpreadEven(v)
-	} else {
-		desired = v
-	}
-	sm := sc.stuckMask[j]
-	stored := (desired &^ sm) | (sc.stuckVal[j] & sm)
-	if sc.mode == pcm.MLC {
-		return bitutil.SymbolCount(sc.old[j], stored)
-	}
-	return bits.OnesCount64(sc.old[j] ^ stored)
-}
-
 func (sc *SlicedCtx) sliceEnergy(j int, stored uint64) float64 {
 	if sc.mode == pcm.MLC {
 		return sc.energy.MLCWordEnergyAll(sc.old[j], stored)
@@ -702,16 +677,14 @@ func pairFloor(a, b Pair) Pair {
 // pairInf is the identity element of pairFloor.
 var pairInf = Pair{math.Inf(1), math.Inf(1)}
 
-// cannotBeat reports whether a search branch whose component-wise cost
-// lower bound is lb is provably unable to improve on the incumbent under
-// obj, so the branch may be pruned without changing the search result.
+// pruneThreshold is the cut a branch-and-bound lower bound lb on a
+// noisy (energy) cost component must exceed before the branch may be
+// pruned against an incumbent with that component.
 //
 // Soundness has to account for the reference search's own float
-// behavior, not just exact arithmetic. Cost components come in two
-// kinds. Cell/SAW counts are small integers whose float sums are exact,
-// so comparing them is exact: a bound strictly worse loses for certain,
-// and a bound exactly equal cannot displace the incumbent either (the
-// search requires strict improvement), making >= prunable. Energy sums
+// behavior, not just exact arithmetic. Cell/SAW counts are small
+// integers whose float sums are exact, so a bound >= the incumbent
+// prunes soundly (the search requires strict improvement). Energy sums
 // are inexact — two candidates with equal exact cost can differ by ULPs
 // depending on which terms were summed — and the reference breaks such
 // ties by exactly that noise (FuzzEncodeEquivalence found the case: two
@@ -721,50 +694,21 @@ var pairInf = Pair{math.Inf(1), math.Inf(1)}
 // beyond a relative slack of 1e-9 — four orders above the worst-case
 // summation noise of these <=70-term sums (~1e-13 relative), and far
 // below any real cost quantum — and near-ties fall through to full
-// evaluation in the reference's own summation order.
-func cannotBeat(obj Objective, lb, incumbent Pair) bool {
-	switch obj {
-	case ObjFlips, ObjOnes:
-		// Both components exact integer counts.
-		return !lb.Less(incumbent)
-	case ObjEnergySAW:
-		// Primary is energy (noisy): prune on it alone, beyond slack.
-		// The secondary never prunes — it only matters on an exact
-		// primary tie, which the reference resolves at ULP granularity.
-		return lb.Primary > incumbent.Primary+ulpSlack(lb.Primary, incumbent.Primary)
-	case ObjSAWEnergy:
-		// Primary (SAW count) is exact; secondary is noisy energy.
-		if lb.Primary != incumbent.Primary {
-			return lb.Primary > incumbent.Primary
-		}
-		return lb.Secondary > incumbent.Secondary+ulpSlack(lb.Secondary, incumbent.Secondary)
-	default:
-		return false
-	}
-}
-
-// ulpSlack is the relative margin separating "worse by a real cost
-// quantum" from "possibly an exact tie perturbed by summation noise".
-func ulpSlack(a, b float64) float64 {
-	return 1e-9 * (math.Abs(a) + math.Abs(b) + 1)
-}
-
-// pruneThreshold precomputes cannotBeat's noisy-component test as a
-// single bound: for nonnegative costs,
+// evaluation in the reference's own summation order. For nonnegative
+// costs the slack test is a single bound,
 //
-//	lb > incumbent + ulpSlack(lb, incumbent)
+//	lb > incumbent + 1e-9*(|lb| + |incumbent| + 1)
 //	  <=>  lb*(1 - 1e-9) > incumbent*(1 + 1e-9) + 1e-9
 //	  <=>  lb > (incumbent*(1+1e-9) + 1e-9) / (1 - 1e-9)
 //
 // so the kernel scan refreshes the threshold once per incumbent change
-// and the per-branch check is one float compare instead of the
-// abs/mul/add slack evaluation. The float rounding of the threshold
-// itself shifts the cut by a few ULPs (~1e-16 relative) — negligible
-// against the four orders of magnitude separating the 1e-9 slack from
-// worst-case summation noise, so pruning stays sound. A negative
-// incumbent (an adversarial energy model with negative coefficients)
-// falls outside the nonnegativity assumption: disable pruning entirely
-// rather than risk over-pruning.
+// and the per-branch check is one float compare. The float rounding of
+// the threshold itself shifts the cut by a few ULPs (~1e-16 relative) —
+// negligible against the four orders of magnitude separating the 1e-9
+// slack from worst-case summation noise, so pruning stays sound. A
+// negative incumbent (an adversarial energy model with negative
+// coefficients) falls outside the nonnegativity assumption: disable
+// pruning entirely rather than risk over-pruning.
 func pruneThreshold(incumbent float64) float64 {
 	if incumbent < 0 {
 		return math.Inf(1)

@@ -37,6 +37,14 @@ func equivCodecs() []equivCodec {
 		{"RCC(64,256)", NewRCC(64, 256, 1), 64, false},
 		{"RCC(32,16)", NewRCC(32, 16, 2), 32, true},
 		{"Flipcy(64)", NewFlipcy(64), 64, false},
+		// Lane-width coverage for the flips kernel: 4-bit and 8-bit
+		// lanes on full words, 8-bit lanes (m=4) on the MLC plane.
+		// Appended last, and sixteen in all, so every committed fuzz
+		// input keeps its codec: codecSel below 13 indexes the same
+		// entry, and the corpus file's 208 is 0 modulo both 13 and 16.
+		{"VCC-Stored(64,262144,4)m4", NewVCCStored(64, 4, 1<<18, 7), 64, false},
+		{"VCC-Stored(64,4096,16)m8", NewVCCStored(64, 8, 4096, 5), 64, false},
+		{"VCC-Gen(4,4096)", NewVCCGenerated(4, 4096), 32, true},
 	}
 }
 
@@ -333,6 +341,12 @@ func FuzzEncodeEquivalence(f *testing.F) {
 	// stored-kernel codec, whose fast scan the warm path feeds.
 	f.Add(uint64(0x5CC5CC), uint64(0x9999), uint64(0x1111), uint64(0xF0F0),
 		uint64(0x5050), uint64(0x7), uint8(0x10|2), uint8(0))
+	// Seed pinning ObjFlips on the m=4 codec (16 lanes of 4 bits) on SLC
+	// cells that are all stuck at the complement of the stored word:
+	// every candidate changes every cell, the per-lane worst case the
+	// lane arithmetic must carry without overflow.
+	f.Add(uint64(0x0F1E2D3C4B5A6978), uint64(0x0123456789ABCDEF), uint64(0),
+		^uint64(0), ^uint64(0x0123456789ABCDEF), uint64(0xA5A5), uint8(4), uint8(13))
 
 	codecs := equivCodecs()
 	var sc SlicedCtx
@@ -340,7 +354,7 @@ func FuzzEncodeEquivalence(f *testing.F) {
 		objSel, codecSel uint8) {
 		ec := codecs[int(codecSel)%len(codecs)]
 		obj := equivObjectives[int(objSel)%len(equivObjectives)]
-		// codecSel's high bits are spare entropy (13 codecs fit in the low
+		// codecSel's high bits are spare entropy (16 codecs fit in the low
 		// six); they steer the nibble-table toggles so the fuzzer hunts
 		// across table-driven, direct, and threshold-decided pricing.
 		setTableMode(&sc, int(codecSel>>6)%3)

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitutil"
+	"repro/internal/pcm"
 )
 
 // VCC is Virtual Coset Coding (Algorithm 1 of the paper). The n-bit data
@@ -39,12 +40,13 @@ type VCC struct {
 	sc SlicedCtx
 	fs vccSearch
 
-	// Decode fast-path plan, fixed at construction (see DecodeWords).
-	// repMul tiles an m-bit kernel across all p partitions with one
-	// multiply (ones at bit positions j*m; kernels carry no bits above
-	// m, so the partial products never overlap and the sum is exactly
-	// the OR of the shifted copies). flagTab maps the p flag bits to
-	// the full-plane complement mask they select. storedTiled caches
+	// Tiling and decode plan, fixed at construction. repMul tiles an
+	// m-bit kernel across all p partitions with one multiply (ones at
+	// bit positions j*m; kernels carry no bits above m, so the partial
+	// products never overlap and the sum is exactly the OR of the
+	// shifted copies); the flips encode and DecodeWords both use it.
+	// The rest serves DecodeWords alone. flagTab maps the p flag bits
+	// to the full-plane complement mask they select. storedTiled caches
 	// the ROM kernels pre-tiled; kat answers single generated kernels
 	// without expanding the set. flagTab == nil (p too wide for the
 	// table) disables the plan and DecodeWords falls back to Decode.
@@ -196,10 +198,10 @@ func NewVCC(n int, src KernelSource) *VCC {
 		panic("coset: too many partitions")
 	}
 	c := &VCC{n: n, m: m, p: p, src: src}
+	for j := 0; j < p; j++ {
+		c.repMul |= 1 << uint(j*m)
+	}
 	if p <= vccFlagTabMaxP {
-		for j := 0; j < p; j++ {
-			c.repMul |= 1 << uint(j*m)
-		}
 		mMask := bitutil.Mask(m)
 		c.flagTab = make([]uint64, 1<<uint(p))
 		for f := 1; f < len(c.flagTab); f++ {
@@ -354,10 +356,9 @@ func (c *VCC) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 //     table entries, accumulated in the reference's summation order; a
 //     kernel is abandoned as soon as its partial cost plus the floor of
 //     the remaining partitions and index bits provably cannot beat the
-//     incumbent. The prune predicate is cannotBeat's, with the noisy
-//     component's slack test precomputed into a single bound per
-//     incumbent (see pruneThreshold for why this never changes the
-//     selected coset).
+//     incumbent: exact integer components prune at >=, noisy energy
+//     components beyond pruneThreshold's slack (see there for why this
+//     never changes the selected coset).
 func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, uint64) {
 	// A context whose plane width disagrees with the codec's would slice
 	// into partitions the search does not iterate; the reference path
@@ -367,6 +368,9 @@ func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 	// geometry.
 	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, 2*c.src.NumKernels()) {
 		return c.EncodeRef(data, ev)
+	}
+	if sc.obj == ObjFlips {
+		return c.encodeFlips(data, ev)
 	}
 	d := data & bitutil.Mask(c.n)
 	kernels := c.src.Kernels(ev.Ctx.NewLeft)
@@ -383,9 +387,6 @@ func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 	if sc.tabOK && sc.obj == ObjEnergySAW && sc.etabFits &&
 		sc.cHi >= 0 && sc.cLo >= 0 {
 		return c.encodeSlicedEnergySAW(d, kernels, sc, s)
-	}
-	if sc.obj == ObjFlips && !sc.tabOK {
-		return c.encodeSlicedFlips(d, kernels, sc)
 	}
 	s.ensure(r, c.p)
 	mMask := bitutil.Mask(c.m)
@@ -474,8 +475,7 @@ func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 	// Precomputed prune cuts (see pruneThreshold): threshP bounds the
 	// noisy primary under ObjEnergySAW, threshS the noisy secondary
 	// under ObjSAWEnergy. Both refresh only when the incumbent changes,
-	// so the inner check is a compare instead of cannotBeat's slack
-	// evaluation — same predicate, hoisted.
+	// so the inner check is one compare.
 	var threshP, threshS float64
 	for i := 0; i < r; i++ {
 		t, o := i, 0
@@ -872,83 +872,126 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 	return bestEnc, bestAux
 }
 
-// encodeSlicedFlips is the table-free integer specialization for
-// ObjFlips — the engine's default objective. Flip counts and aux-bit
-// costs are small nonnegative integers whose float64 images are exact,
-// and a flips Pair carries zero Secondary, so every comparison the
-// reference search makes (orientation select, incumbent update, prune)
-// collapses to an integer compare: the specialization reproduces
-// EncodeRef decision for decision with no float arithmetic at all. Like
-// the energy+SAW scan it prices each kernel value exactly as the source
-// supplies it (stored ROM or generated), lazily per partition,
-// abandoning a kernel once its partial count plus the remaining
-// partitions' aux-cost floor reaches the incumbent — integer counts are
-// exact, so >= prunes soundly against the reference's strict-improvement
-// rule.
-func (c *VCC) encodeSlicedFlips(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, uint64) {
-	mMask := bitutil.Mask(c.m)
-	auxBits := c.AuxBits()
-	var djv [maxSlices]uint64
-	var a0, a1 [maxSlices]int
-	var suff [maxSlices + 1]int
+// encodeFlips is EncodeSliced's ObjFlips kernel (the engine default).
+// Flip and aux-bit costs are small integers, so the reference's float
+// compares are integer compares, and each kernel prices all p
+// partitions at once in SWAR lanes: lane j holds partition j's cells (m
+// bits, or 2m word bits on an MLC right-digit plane). Writing y changes
+// the cells of base ^ (y & free), base being the old word with stuck
+// values (and an MLC plane's left digits) applied and free the cells y
+// drives; so orientation 0, y0 = d ^ tile(k), changes x0 = base ^ (y0 &
+// free) and orientation 1 changes x0 ^ free. MLC symbols fold to one bit.
+// Lane popcounts plus the flag bits' aux costs are the reference's c0
+// and c1; a borrow compare takes c1 < c0 per lane (its strict Less), the
+// same mask selects the costs and complements the winning partitions,
+// and a horizontal sum plus the index bits' popcount is the kernel
+// total, scanned in order with a strict < as the reference does. Lane
+// costs (at most w/2+1 folded or w+1 plain) must stay below the lane's
+// top bit, so lane widths other than a power of two >= 4 take EncodeRef.
+func (c *VCC) encodeFlips(data uint64, ev *Evaluator) (uint64, uint64) {
+	x := &ev.Ctx
+	w, ones, width := uint(c.m), c.repMul, c.n
+	sm := x.StuckMask
+	base := x.OldWord ^ x.StuckVal&sm
+	free := ^sm
+	if x.MLCPlane {
+		w, ones, width = 2*w, bitutil.SpreadEven(ones), 2*width
+		base ^= ev.leftSpread &^ sm
+		free &= evenBits
+	}
+	if w < 4 || w&(w-1) != 0 {
+		return c.EncodeRef(data, ev)
+	}
+	l := newSwarLanes(w, ones)
+	wm := bitutil.Mask(width)
+	base &= wm
+	free &= wm
+	fold := x.Mode == pcm.MLC
+	var a0 uint64
 	for j := 0; j < c.p; j++ {
-		djv[j] = bitutil.SubBlock(d, j, c.m)
-		a0[j] = int(sc.AuxBit(j, 0).Primary)
-		a1[j] = int(sc.AuxBit(j, 1).Primary)
+		a0 |= x.OldAux >> uint(j) & 1 << (uint(j) * w)
 	}
-	idxFloor := 0
-	for b := c.p; b < auxBits; b++ {
-		f0 := int(sc.AuxBit(b, 0).Primary)
-		if f1 := int(sc.AuxBit(b, 1).Primary); f1 < f0 {
-			f0 = f1
+	a1 := a0 ^ ones
+	oldIdx := x.OldAux >> uint(c.p)
+	idxMask := bitutil.Mask(c.AuxBits() - c.p)
+	d := data & bitutil.Mask(c.n)
+
+	var bestY, bestLT uint64
+	best, bestI := 0, 0
+	rep, plane := c.repMul, x.MLCPlane
+	for i, k := range c.src.Kernels(x.NewLeft) {
+		y0 := d ^ k*rep
+		ys := y0
+		if plane {
+			ys = bitutil.SpreadEven(y0)
 		}
-		idxFloor += f0
-	}
-	suff[c.p] = idxFloor
-	for j := c.p - 1; j >= 0; j-- {
-		af := a0[j]
-		if a1[j] < af {
-			af = a1[j]
+		x0 := base ^ ys&free
+		x1 := x0 ^ free
+		if fold {
+			x0 = (x0 | x0>>1) & evenBits
+			x1 = (x1 | x1>>1) & evenBits
 		}
-		suff[j] = af + suff[j+1]
-	}
-	var bestEnc, bestAux uint64
-	best := 0
-	for i, k := range kernels {
-		var enc, flags uint64
-		cost := 0
-		pruned := false
-		for j := 0; j < c.p; j++ {
-			y0 := djv[j] ^ k
-			c0 := sc.sliceFlips(j, y0) + a0[j]
-			c1 := sc.sliceFlips(j, y0^mMask) + a1[j]
-			sh := uint(j * c.m)
-			if c1 < c0 {
-				cost += c1
-				enc |= (y0 ^ mMask) << sh
-				flags |= 1 << uint(j)
-			} else {
-				cost += c0
-				enc |= y0 << sh
-			}
-			if i > 0 && cost+suff[j+1] >= best {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		for b := c.p; b < auxBits; b++ {
-			cost += int(sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1).Primary)
-		}
+		c0 := l.count(x0) + a0
+		c1 := l.count(x1) + a1
+		lt := l.less(c1, c0)
+		cost := int(l.sum(c0^(c0^c1)&lt)) + bits.OnesCount64((uint64(i)^oldIdx)&idxMask)
 		if i == 0 || cost < best {
-			bestEnc = enc
-			bestAux = uint64(i)<<uint(c.p) | flags
-			best = cost
+			best, bestI, bestY, bestLT = cost, i, y0, lt
 		}
 	}
-	return bestEnc, bestAux
+	var flags uint64
+	for j := 0; j < c.p; j++ {
+		flags |= bestLT >> (uint(j) * w) & 1 << uint(j)
+	}
+	if plane {
+		bestLT = bitutil.CompressEven(bestLT)
+	}
+	return bestY ^ bestLT, uint64(bestI)<<uint(c.p) | flags
+}
+
+// evenBits selects bit 0 of every 2-bit MLC symbol.
+const evenBits = 0x5555555555555555
+
+// swarLanes views a word as lanes of w bits, w a power of two in [4,
+// 64], given by ones (bit 0 of each lane); hi is each lane's top bit and
+// lo its low byte (for w >= 8).
+type swarLanes struct {
+	w            uint
+	ones, hi, lo uint64
+}
+
+func newSwarLanes(w uint, ones uint64) swarLanes {
+	return swarLanes{w: w, ones: ones, hi: ones << (w - 1), lo: ones * 0xFF}
+}
+
+// count replaces each lane of x by its popcount: SWAR nibble counts
+// (final for 4-bit lanes), byte counts, then one multiply sums a lane's
+// bytes into its top byte, shifted down to the low byte. No product
+// byte exceeds 64, so nothing carries between bytes.
+func (l swarLanes) count(x uint64) uint64 {
+	x -= x >> 1 & evenBits
+	x = x&0x3333333333333333 + x>>2&0x3333333333333333
+	if l.w == 4 {
+		return x
+	}
+	x = (x + x>>4) & 0x0F0F0F0F0F0F0F0F
+	return x * (0x0101010101010101 >> ((64 - l.w) & 63)) >> ((l.w - 8) & 63) & l.lo
+}
+
+// less is all ones in each lane where a < b. With lane values below hi,
+// (a | hi) - b never borrows across lanes and clears hi iff a < b.
+func (l swarLanes) less(a, b uint64) uint64 {
+	t := ^((a | l.hi) - b) & l.hi
+	return t - t>>((l.w-1)&63) | t
+}
+
+// sum adds all lanes of x (4-bit lanes first paired into bytes, wider
+// ones holding their value in the low byte); the total must fit a byte.
+func (l swarLanes) sum(x uint64) uint64 {
+	if l.w == 4 {
+		x = x&0x0F0F0F0F0F0F0F0F + x>>4&0x0F0F0F0F0F0F0F0F
+	}
+	return x * 0x0101010101010101 >> 56
 }
 
 // Decode implements Codec: the inverse is a single XOR/XNOR per

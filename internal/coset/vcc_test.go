@@ -1,6 +1,7 @@
 package coset
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -348,5 +349,54 @@ func TestVCCName(t *testing.T) {
 	}
 	if got := NewVCCGenerated(16, 256).Name(); got != "VCC-Gen(32,256,64)" {
 		t.Errorf("name = %q", got)
+	}
+}
+
+// TestSwarLanesMatchScalar holds the flips kernel's lane arithmetic
+// (per-lane count, borrow compare and select, horizontal sum) to a
+// per-lane scalar loop for every lane width the kernel serves. Besides
+// random words it runs each width's worst case: every cell changed plus
+// an aux cost of 1, the largest value a lane ever holds and the one a
+// carry or borrow would leak from into the next lane.
+func TestSwarLanesMatchScalar(t *testing.T) {
+	rng := prng.New(0x5A4)
+	for _, w := range []uint{4, 8, 16, 32, 64} {
+		p := 64 / int(w)
+		var ones uint64
+		for j := 0; j < p; j++ {
+			ones |= 1 << (uint(j) * w)
+		}
+		l := newSwarLanes(w, ones)
+		lane := func(x uint64, j int) uint64 { return bitutil.SubBlock(x, j, int(w)) }
+		check := func(x0, x1, a0 uint64) {
+			t.Helper()
+			a1 := a0 ^ ones
+			c0, c1 := l.count(x0)+a0, l.count(x1)+a1
+			lt := l.less(c1, c0)
+			var total uint64
+			for j := 0; j < p; j++ {
+				w0 := uint64(bits.OnesCount64(lane(x0, j))) + lane(a0, j)
+				w1 := uint64(bits.OnesCount64(lane(x1, j))) + lane(a1, j)
+				wantLT, low := uint64(0), w0
+				if w1 < w0 {
+					wantLT, low = bitutil.Mask(int(w)), w1
+				}
+				if lane(c0, j) != w0 || lane(c1, j) != w1 || lane(lt, j) != wantLT {
+					t.Fatalf("w=%d lane %d of x0=%#x x1=%#x a0=%#x: costs (%d,%d) less %#x, want (%d,%d) less %#x",
+						w, j, x0, x1, a0, lane(c0, j), lane(c1, j), lane(lt, j), w0, w1, wantLT)
+				}
+				total += low
+			}
+			if got := l.sum(c0 ^ (c0^c1)&lt); got != total {
+				t.Fatalf("w=%d x0=%#x x1=%#x a0=%#x: lane sum %d, want %d", w, x0, x1, a0, got, total)
+			}
+		}
+		check(^uint64(0), ^uint64(0), 0)    // plain orientation wins every lane, w vs w+1
+		check(^uint64(0), ^uint64(0), ones) // complement wins every lane, w+1 vs w
+		check(^uint64(0), 0, ones)          // w+1 vs 0
+		check(0, ^uint64(0), 0)             // 0 vs w+1
+		for trial := 0; trial < 2000; trial++ {
+			check(rng.Uint64(), rng.Uint64(), rng.Uint64()&ones)
+		}
 	}
 }

@@ -174,7 +174,7 @@ func replayScript(t *testing.T, addr string, script []struct {
 	br := bufio.NewReader(nc)
 	got := make([][]byte, len(script))
 	for i, step := range script {
-		if err := writeFrame(nc, step.req); err != nil {
+		if _, err := nc.Write(appendFrame(nil, step.req)); err != nil {
 			t.Fatalf("%s: write: %v", step.name, err)
 		}
 		resp, err := readFrame(br, nil)

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -142,14 +143,18 @@ var errFrameTooLarge = errors.New("server: frame exceeds MaxFrame")
 // needed) and returns the payload. io.EOF is returned only on a clean
 // boundary (no bytes of the next frame read).
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf itself: a local array would
+	// escape through the io.Reader call and cost an allocation a frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, errFrameTooLarge
 	}
@@ -169,11 +174,10 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame writes one length-prefixed frame. The prefix is built in
+// w's free buffer space, so writing a frame allocates nothing.
+func writeFrame(w *bufio.Writer, payload []byte) error {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

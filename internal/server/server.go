@@ -281,6 +281,11 @@ type slot struct {
 	// ready fires when resp is complete (buffered: the engine callback
 	// never blocks on it).
 	ready chan struct{}
+	// The submitted request (id, op count, tenant) and its completion
+	// callback, built once per slot so a submission allocates nothing.
+	id           uint32
+	nops, tenant int
+	done         func([]shard.Outcome, memctrl.Stats, error)
 }
 
 // connState is the per-connection tenant binding.
@@ -304,7 +309,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	sess := s.mem.Session()
 	free := make(chan *slot, s.window)
 	for i := 0; i < s.window; i++ {
-		free <- &slot{ready: make(chan struct{}, 1)}
+		sl := &slot{ready: make(chan struct{}, 1)}
+		sl.done = func(out []shard.Outcome, d memctrl.Stats, err error) { s.complete(sl, out, d, err) }
+		free <- sl
 	}
 	pending := make(chan *slot, s.window)
 
@@ -604,46 +611,8 @@ func (s *Server) handleData(cs *connState, sess *vcc.Session, sl *slot, verb byt
 	if cap(sl.out) < nops {
 		sl.out = make([]shard.Outcome, nops)
 	}
-	err := sess.SubmitFuncStats(sl.ops, sl.out[:nops], func(out []shard.Outcome, d memctrl.Stats, err error) {
-		// Runs on an engine drainer goroutine; must not block. ready is
-		// buffered and the tenant counter is only held for the fold.
-		if s.maxInflightOps > 0 {
-			s.inflightOps.Add(int64(-nops))
-		}
-		if err != nil {
-			s.respondError(sl, id, StatusShutdown, err.Error())
-			s.inflight.Done()
-			return
-		}
-		var opErr error
-		failed := 0
-		for i := range out[:nops] {
-			if out[i].Err != nil {
-				failed++
-				if opErr == nil {
-					opErr = out[i].Err
-				}
-			}
-		}
-		if opErr != nil {
-			// The engine did the work (and possibly left corrupted
-			// cells), so the tenant is charged exactly as on success —
-			// reconciliation counts every admitted op once.
-			s.account(tenant, nops, d)
-			s.deviceErrors.Add(1)
-			s.respondError(sl, id, StatusDeviceError,
-				fmt.Sprintf("%d/%d ops failed: %v", failed, nops, opErr))
-		} else {
-			for i, off := range sl.sawOff {
-				if off >= 0 {
-					binary.BigEndian.PutUint32(sl.resp[off:], uint32(out[i].SAWCells))
-				}
-			}
-			s.account(tenant, nops, d)
-			sl.ready <- struct{}{}
-		}
-		s.inflight.Done()
-	})
+	sl.id, sl.nops, sl.tenant = id, nops, tenant
+	err := sess.SubmitFuncStats(sl.ops, sl.out[:nops], sl.done)
 	if err != nil {
 		// Submission itself failed (engine closed under us): the
 		// callback never fires.
@@ -657,6 +626,49 @@ func (s *Server) handleData(cs *connState, sess *vcc.Session, sl *slot, verb byt
 		}
 		s.respondError(sl, id, status, err.Error())
 	}
+}
+
+// complete finishes a submitted data request: it runs on an engine
+// drainer goroutine and must not block. ready is buffered and the
+// tenant counter is only held for the fold.
+func (s *Server) complete(sl *slot, out []shard.Outcome, d memctrl.Stats, err error) {
+	id, nops, tenant := sl.id, sl.nops, sl.tenant
+	if s.maxInflightOps > 0 {
+		s.inflightOps.Add(int64(-nops))
+	}
+	if err != nil {
+		s.respondError(sl, id, StatusShutdown, err.Error())
+		s.inflight.Done()
+		return
+	}
+	var opErr error
+	failed := 0
+	for i := range out[:nops] {
+		if out[i].Err != nil {
+			failed++
+			if opErr == nil {
+				opErr = out[i].Err
+			}
+		}
+	}
+	if opErr != nil {
+		// The engine did the work (and possibly left corrupted
+		// cells), so the tenant is charged exactly as on success —
+		// reconciliation counts every admitted op once.
+		s.account(tenant, nops, d)
+		s.deviceErrors.Add(1)
+		s.respondError(sl, id, StatusDeviceError,
+			fmt.Sprintf("%d/%d ops failed: %v", failed, nops, opErr))
+	} else {
+		for i, off := range sl.sawOff {
+			if off >= 0 {
+				binary.BigEndian.PutUint32(sl.resp[off:], uint32(out[i].SAWCells))
+			}
+		}
+		s.account(tenant, nops, d)
+		sl.ready <- struct{}{}
+	}
+	s.inflight.Done()
 }
 
 // rangeMsg formats the one StatusRange message.
